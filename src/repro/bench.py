@@ -300,11 +300,11 @@ def bench_service_rpc(smoke: bool = False) -> dict:
 def bench_pool_throughput(
     smoke: bool = False, with_monitoring: bool = False
 ) -> dict:
-    """End-to-end tasks/s through a threaded pool on trivial tasks.
+    """Tasks/s through a threaded pool draining an in-process store.
 
-    With ``with_monitoring`` the same workload runs behind a service
-    carrying an active StoreSampler — the number the <5% monitoring
-    overhead budget is judged against.
+    No-op tasks, default ``PoolConfig`` apart from the batch size.  With
+    ``with_monitoring`` the same store carries an active StoreSampler —
+    the number the <5% monitoring overhead budget is judged against.
     """
     from repro.core import EQSQL, as_completed
     from repro.db import MemoryTaskStore
@@ -323,7 +323,7 @@ def bench_pool_throughput(
     pool = ThreadedWorkerPool(
         eq,
         PythonTaskHandler(lambda d: d),
-        PoolConfig(work_type=0, n_workers=4, batch_size=8, poll_delay=0.001),
+        PoolConfig(work_type=0, n_workers=4, batch_size=8),
     ).start()
     try:
         t0 = time.perf_counter()
@@ -400,8 +400,7 @@ def bench_task_profile_overhead(smoke: bool = False) -> dict:
             eq,
             PythonTaskHandler(lambda d: d),
             PoolConfig(
-                work_type=0, n_workers=4, batch_size=8, poll_delay=0.001,
-                profile_tasks=profiled,
+                work_type=0, n_workers=4, batch_size=8, profile_tasks=profiled,
             ),
         ).start()
         try:
@@ -650,7 +649,7 @@ def bench_cache_hit_latency(smoke: bool = False) -> dict:
     pool = ThreadedWorkerPool(
         eq,
         PythonTaskHandler(handler),
-        PoolConfig(work_type=0, n_workers=4, batch_size=8, poll_delay=0.001),
+        PoolConfig(work_type=0, n_workers=4, batch_size=8),
     ).start()
     payloads = ['{"point": %d}' % i for i in range(n)]
     try:
@@ -722,7 +721,7 @@ def bench_repeated_sweep(smoke: bool = False) -> dict:
         pool = ThreadedWorkerPool(
             eq,
             PythonTaskHandler(handler),
-            PoolConfig(work_type=0, n_workers=4, batch_size=8, poll_delay=0.001),
+            PoolConfig(work_type=0, n_workers=4, batch_size=8),
         ).start()
         try:
             t0 = time.perf_counter()

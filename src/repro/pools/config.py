@@ -23,8 +23,10 @@ class PoolConfig:
     batch_size: int | None = None
     threshold: int = 1
     name: str = field(default_factory=lambda: short_id("pool"))
-    #: Sleep between fetch attempts when the policy says not to fetch
-    #: or the queue is empty.
+    #: Sleep between empty fetches against a store that cannot long-poll
+    #: (``supports_wait`` false, or ``fetch_wait=0``), and the backoff
+    #: after a failed fetch.  A full pool does not poll: it refills the
+    #: moment a task finishes and frees a slot.
     poll_delay: float = 0.02
     #: Timeout for each individual batch query against the DB.
     query_timeout: float = 0.0

@@ -118,6 +118,8 @@ class ThreadedWorkerPool:
         self._owned = 0
         self._owned_ids: set[int] = set()
         self._owned_lock = threading.Lock()
+        # Notified when _finalize drops the owned count, and by stop().
+        self._slot_freed = threading.Condition(self._owned_lock)
         self._local: "queue.Queue[dict[str, Any] | None]" = queue.Queue()
         self._stop_fetching = threading.Event()
         self._stop_heartbeat = threading.Event()
@@ -281,9 +283,14 @@ class ThreadedWorkerPool:
         self._stop_fetching.set()
         if not drain:
             self._abort.set()
-        # A fetcher blocked in a long-poll wakes instantly when the
-        # store is in-process; against a remote store this is a no-op
-        # and fetch_wait bounds how long the fetcher can stay blocked.
+            # Wake idle workers; their abort check skips queued work.
+            for _ in range(self._config.n_workers):
+                self._local.put(None)
+        with self._slot_freed:
+            self._slot_freed.notify()
+        # Ends an in-process long-poll early, though EQSQL re-issues it
+        # until its deadline; against a remote store this is a no-op.
+        # Either way fetch_wait bounds how long the fetcher stays blocked.
         waker = getattr(self._eqsql.store, "wake_waiters", None)
         if waker is not None:
             waker()
@@ -340,13 +347,16 @@ class ThreadedWorkerPool:
             if long_poll
             else config.query_timeout
         )
-        while not self._stop_fetching.is_set():
-            with self._owned_lock:
+        while True:
+            # A full pool refills the moment _finalize frees a slot.
+            with self._slot_freed:
+                self._slot_freed.wait_for(
+                    lambda: self._stop_fetching.is_set()
+                    or self._policy.to_fetch(self._owned) > 0
+                )
                 owned = self._owned
-            want = self._policy.to_fetch(owned)
-            if want == 0:
-                clock.sleep(config.poll_delay)
-                continue
+            if self._stop_fetching.is_set():
+                break
             t0 = clock.now() if tracer.enabled else 0.0
             try:
                 messages = self._eqsql.query_task_batch(
@@ -424,11 +434,10 @@ class ThreadedWorkerPool:
                     self._owned_ids.add(message["eq_task_id"])
                 self._local.put(message)
         # Drain: wait for owned tasks to complete, then release workers.
-        while not self._abort.is_set():
-            with self._owned_lock:
-                if self._owned == 0:
-                    break
-            clock.sleep(config.poll_delay)
+        with self._slot_freed:
+            self._slot_freed.wait_for(
+                lambda: self._owned == 0 or self._abort.is_set()
+            )
         for _ in range(config.n_workers):
             self._local.put(None)
 
@@ -482,10 +491,7 @@ class ThreadedWorkerPool:
         while True:
             if self._abort.is_set():
                 return
-            try:
-                message = self._local.get(timeout=0.1)
-            except queue.Empty:
-                continue
+            message = self._local.get()
             if message is None:
                 return
             eq_task_id = message["eq_task_id"]
@@ -644,9 +650,10 @@ class ThreadedWorkerPool:
                 time=self._eqsql.clock.now(),
                 extra={"lost": True} if lost else None,
             )
-        with self._owned_lock:
+        with self._slot_freed:
             self._owned -= 1
             self._owned_ids.discard(eq_task_id)
+            self._slot_freed.notify()
         with self._stats_lock:
             if lost:
                 self.reports_lost += 1
@@ -686,10 +693,7 @@ class _BatchReporter:
         self._pool = pool
         self._batch_size = pool.config.report_batch_size
         self._linger = pool.config.report_linger
-        self._q: "queue.Queue[tuple[int, str, bool, float, dict | None]]" = (
-            queue.Queue()
-        )
-        self._stop_event = threading.Event()
+        self._q: "queue.Queue[tuple[int, str, bool, float, dict | None] | None]" = queue.Queue()
         self._discard = False
         self._started = False
         self._thread = threading.Thread(
@@ -714,32 +718,28 @@ class _BatchReporter:
     def stop(self, discard: bool = False, timeout: float = 30.0) -> None:
         """Stop the flusher; drains the queue first unless ``discard``."""
         self._discard = discard
-        self._stop_event.set()
+        self._q.put(None)
         if self._started:
             self._thread.join(timeout)
 
     def _run(self) -> None:
-        while True:
-            if self._discard:
-                return
-            try:
-                first = self._q.get(timeout=0.05)
-            except queue.Empty:
-                if self._stop_event.is_set():
-                    return
-                continue
+        while (first := self._q.get()) is not None and not self._discard:
             batch = [first]
-            # Linger for more results unless shutting down (then flush
-            # whatever arrived immediately).
+            # Linger for more results; the stop sentinel ends the linger
+            # and the flusher exits once the batch in hand is reported.
             deadline = time.monotonic() + self._linger
-            while len(batch) < self._batch_size and not self._stop_event.is_set():
+            while len(batch) < self._batch_size:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
                 try:
-                    batch.append(self._q.get(timeout=remaining))
+                    item = self._q.get(timeout=remaining)
                 except queue.Empty:
                     break
+                if item is None:
+                    self._flush(batch)
+                    return
+                batch.append(item)
             self._flush(batch)
 
     def _flush(self, batch: list[tuple[int, str, bool, float, dict | None]]) -> None:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -124,8 +127,6 @@ class TestShutdown:
 
 class TestPolicyBehaviour:
     def test_owned_never_exceeds_batch(self, eq):
-        import threading
-
         observed_max = 0
         lock = threading.Lock()
 
@@ -175,3 +176,94 @@ class TestMultiplePools:
         pools = {eq.task_info(f.eq_task_id).worker_pool for f in done}
         assert pools == {"a", "b"}  # both pools did work
         assert pool_a.tasks_completed + pool_b.tasks_completed == 40
+
+
+class TestEventDrivenRefill:
+    """A full pool refills when a slot frees, not on a ``poll_delay`` tick.
+
+    ``poll_delay=5.0`` makes any tick-based wait obvious: the bounds
+    below sit far under one tick and far over the real run time.
+    """
+
+    SLOW_TICK = dict(work_type=0, n_workers=1, batch_size=1, poll_delay=5.0)
+
+    @pytest.mark.parametrize("report_batch_size", [1, 4])
+    def test_saturated_pool_refills_without_tick(self, eq, report_batch_size):
+        # With report_batch_size > 1 the slot is freed on the flusher
+        # thread rather than the worker.  Tick-based refill would need
+        # at least 19 ticks (95 s) for 20 tasks.
+        futures = eq.submit_tasks("exp", 0, ["{}"] * 20)
+        config = PoolConfig(**self.SLOW_TICK, report_batch_size=report_batch_size)
+        pool = ThreadedWorkerPool(eq, PythonTaskHandler(lambda d: d), config)
+        t0 = time.monotonic()
+        pool.start()
+        try:
+            done = list(as_completed(futures, timeout=5.0, delay=0.005))
+            elapsed = time.monotonic() - t0
+        finally:
+            pool.stop(timeout=10)
+        assert len(done) == 20
+        assert elapsed < 5.0
+        assert pool.tasks_completed == 20
+        assert not pool.is_alive()
+
+    @pytest.mark.parametrize("report_batch_size", [1, 4])
+    def test_no_lost_wakeup_under_thread_churn(self, eq, report_batch_size):
+        # The refill has no timer fallback, so a lost notify would stall
+        # the pool for good.  Many workers, a threshold policy, and a
+        # tiny switch interval give the race every chance to show.
+        futures = eq.submit_tasks("exp", 0, ["{}"] * 400)
+        config = PoolConfig(
+            work_type=0, n_workers=8, batch_size=12, threshold=3,
+            poll_delay=5.0, report_batch_size=report_batch_size,
+        )
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = ThreadedWorkerPool(eq, PythonTaskHandler(lambda d: d), config)
+            pool.start()
+            try:
+                done = list(as_completed(futures, timeout=30.0, delay=0.005))
+            finally:
+                pool.stop(timeout=10)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert len(done) == 400
+        assert pool.tasks_completed == 400
+        assert pool.owned() == 0
+        assert not pool.is_alive()
+
+    def test_stop_on_saturated_pool_returns_after_inflight_task(self, eq):
+        started, release = threading.Event(), threading.Event()
+
+        def gated(d):
+            started.set()
+            release.wait(10)
+            return d
+
+        eq.submit_tasks("exp", 0, ["{}"] * 3)
+        pool = ThreadedWorkerPool(
+            eq, PythonTaskHandler(gated), PoolConfig(**self.SLOW_TICK)
+        ).start()
+        assert started.wait(10)
+        stopper = threading.Thread(target=pool.stop, kwargs={"timeout": 10})
+        stopper.start()
+        time.sleep(0.05)  # let stop() reach its join before releasing
+        released_at = time.monotonic()
+        release.set()
+        stopper.join(10)
+        assert not stopper.is_alive()
+        assert time.monotonic() - released_at < 1.0
+        assert not pool.is_alive()
+        assert pool.tasks_completed == 1  # drained, nothing more fetched
+
+    def test_abort_on_idle_pool_returns_promptly(self, eq):
+        config = PoolConfig(work_type=0, n_workers=4, poll_delay=5.0)
+        pool = ThreadedWorkerPool(eq, square_handler(), config).start()
+        time.sleep(0.05)  # workers idle on the local queue
+        t0 = time.monotonic()
+        pool.stop(drain=False, timeout=10)
+        # The fetcher's long-poll in flight (fetch_wait, 0.5 s) is the
+        # slowest part; a 5 s tick or a hung worker would exceed this.
+        assert time.monotonic() - t0 < 3.0
+        assert not pool.is_alive()
