@@ -24,7 +24,7 @@ def test_pool_end_to_end(benchmark, backend):
     pool = ThreadedWorkerPool(
         eq,
         PythonTaskHandler(lambda d: d),
-        PoolConfig(work_type=0, n_workers=4, batch_size=8, poll_delay=0.001),
+        PoolConfig(work_type=0, n_workers=4, batch_size=8),
     ).start()
 
     def drain():

@@ -218,6 +218,7 @@ class EQSQL:
         attempt: Callable[[float | None], T | None],
         delay: float,
         timeout: float | None,
+        cancel: threading.Event | None = None,
     ) -> T | None:
         """Event-driven :meth:`_poll`: the store blocks, we don't sleep.
 
@@ -227,7 +228,9 @@ class EQSQL:
         server capped the wait (``max_wait_ms``), shutdown woke it, or a
         wrapper silently ignored ``wait`` — a short jittered sleep keeps
         the retry loop from hot-spinning, and the loop degrades to
-        exactly the old poll for wait-ignoring stores.
+        exactly the old poll for wait-ignoring stores.  Once ``cancel``
+        is set, an empty return ends the loop instead: the shutdown wake
+        (``wake_waiters``) is final, not re-issued until the deadline.
         """
         deadline = self._clock.deadline(timeout)
         backoff: DecorrelatedJitter | None = None
@@ -239,7 +242,9 @@ class EQSQL:
             result = attempt(wait)
             if result is not None:
                 return result
-            if self._clock.expired(deadline):
+            if self._clock.expired(deadline) or (
+                cancel is not None and cancel.is_set()
+            ):
                 return None
             if backoff is None:
                 backoff = DecorrelatedJitter(min(delay, 0.05))
@@ -622,6 +627,7 @@ class EQSQL:
         delay: float = 0.5,
         timeout: float = 2.0,
         lease: float | None = None,
+        cancel: threading.Event | None = None,
     ) -> list[dict[str, Any]]:
         """Worker-pool batch query (paper §IV-D).
 
@@ -630,7 +636,10 @@ class EQSQL:
         until the deficit reaches ``threshold``; never more than
         ``batch_size - owned`` tasks are claimed.  Returns an empty list
         when the policy says not to fetch or the queue stays empty.
-        ``lease`` claims the batch under a fault-tolerance lease.
+        ``lease`` claims the batch under a fault-tolerance lease.  A set
+        ``cancel`` event stops the long-poll from being re-issued after
+        an empty return, so a stopping pool's fetcher returns as soon as
+        ``wake_waiters`` ends its wait.
         """
         want = fetch_count(batch_size, threshold, owned)
         if want == 0:
@@ -647,7 +656,7 @@ class EQSQL:
         tracer = self.tracer
         t0 = self._clock.now() if tracer.enabled else 0.0
         if self._use_wait(timeout):
-            popped = self._wait_poll(attempt, delay, timeout)
+            popped = self._wait_poll(attempt, delay, timeout, cancel)
         else:
             popped = self._poll(attempt, delay, timeout)
         if popped is None:

@@ -12,19 +12,18 @@ tasks, and exit; the sentinel task itself is reported back (payload
 ``EQ_STOP``) so the submitter's future completes.  ``stop()`` forces the
 same path locally.
 
-With ``report_batch_size > 1`` the pool runs a shared reporter: workers
-enqueue completed results instead of reporting them inline, and a single
-flusher thread pushes each batch to the DB in one ``report_batch`` store
-operation — flushing at K results or after a bounded linger, whichever
-comes first, so a remote store's round trip is paid per batch while a
-lone result still reports promptly.
+Workers never report inline: each hands its result to the pool's one
+shared reporter, whose flusher thread writes every result queued so far
+in one ``report_batch`` store operation.  There is no linger — a lone
+result goes out at once — and results that finish while a flush is in
+flight form the next batch, so a remote store's round trip is paid per
+batch exactly when tasks finish faster than it.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-import time
 from collections import deque
 from typing import Any
 
@@ -49,7 +48,13 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     get_metrics,
 )
-from repro.telemetry.tracing import SpanContext, Tracer, get_tracer
+from repro.telemetry.tracing import (
+    STATUS_ERROR,
+    STATUS_OK,
+    SpanContext,
+    Tracer,
+    get_tracer,
+)
 from repro.util.errors import ReproError
 from repro.util.logging import get_logger, log_event
 from repro.util.serialization import json_dumps
@@ -63,8 +68,9 @@ class ThreadedWorkerPool:
     Under an enabled tracer, each fetch that returns work records a
     ``pool.fetch`` span and each task executes inside a ``pool.task``
     span parented to the submitter's span (the context rides the task
-    payload), with ``pool.report`` nested for the result write — the
-    queue-wait / run / report decomposition of the task lifecycle.
+    payload), and the reporter records a ``pool.report`` child of it
+    from enqueue until the result settles in the DB — the queue-wait /
+    run / report decomposition of the task lifecycle.
     """
 
     def __init__(
@@ -102,7 +108,7 @@ class ThreadedWorkerPool:
             "pool.run_seconds", help="handler execution time"
         )
         self._m_report = registry.histogram(
-            "pool.report_seconds", help="result report round trip"
+            "pool.report_seconds", help="result report: enqueue to settled"
         )
         self._m_lease_renewals = registry.counter(
             "pool.lease_renewals", "task leases renewed by the heartbeat"
@@ -118,7 +124,7 @@ class ThreadedWorkerPool:
         self._owned = 0
         self._owned_ids: set[int] = set()
         self._owned_lock = threading.Lock()
-        # Notified when _finalize drops the owned count, and by stop().
+        # Notified when the reporter drops the owned count, and by stop().
         self._slot_freed = threading.Condition(self._owned_lock)
         self._local: "queue.Queue[dict[str, Any] | None]" = queue.Queue()
         self._stop_fetching = threading.Event()
@@ -127,9 +133,7 @@ class ThreadedWorkerPool:
         self._threads: list[threading.Thread] = []
         self._heartbeat: threading.Thread | None = None
         self._started = False
-        self._reporter: _BatchReporter | None = (
-            _BatchReporter(self) if config.report_batch_size > 1 else None
-        )
+        self._reporter = _BatchReporter(self)
 
         self._stats_lock = threading.Lock()
         self._busy = 0
@@ -241,8 +245,7 @@ class ThreadedWorkerPool:
         self._threads = [fetcher, *workers]
         for t in self._threads:
             t.start()
-        if self._reporter is not None:
-            self._reporter.start()
+        self._reporter.start()
         if self._config.telemetry_interval is not None:
             sink = getattr(self._eqsql.store, "telemetry", None)
             if sink is None:
@@ -288,9 +291,10 @@ class ThreadedWorkerPool:
                 self._local.put(None)
         with self._slot_freed:
             self._slot_freed.notify()
-        # Ends an in-process long-poll early, though EQSQL re-issues it
-        # until its deadline; against a remote store this is a no-op.
-        # Either way fetch_wait bounds how long the fetcher stays blocked.
+        # Ends an in-process long-poll at once (the fetcher passes
+        # _stop_fetching as the wait's cancel, so it is not re-issued);
+        # against a remote store this is a no-op and fetch_wait bounds
+        # how long the fetcher stays blocked.
         waker = getattr(self._eqsql.store, "wake_waiters", None)
         if waker is not None:
             waker()
@@ -305,8 +309,7 @@ class ThreadedWorkerPool:
         # flusher has reported every enqueued result.  On abort pending
         # results are discarded (their tasks stay RUNNING for the lease
         # reaper, like any abandoned work).
-        if self._reporter is not None:
-            self._reporter.stop(discard=self._abort.is_set(), timeout=timeout)
+        self._reporter.stop(discard=self._abort.is_set(), timeout=timeout)
         # The heartbeat outlives the fetcher so leases stay fresh while
         # owned tasks drain; it only stops once the workers are done (or
         # on abort, where renewing would keep abandoned tasks from the
@@ -348,7 +351,7 @@ class ThreadedWorkerPool:
             else config.query_timeout
         )
         while True:
-            # A full pool refills the moment _finalize frees a slot.
+            # A full pool refills the moment a report settle frees a slot.
             with self._slot_freed:
                 self._slot_freed.wait_for(
                     lambda: self._stop_fetching.is_set()
@@ -368,6 +371,7 @@ class ThreadedWorkerPool:
                     delay=config.poll_delay,
                     timeout=query_timeout,
                     lease=config.lease_duration,
+                    cancel=self._stop_fetching,
                 )
             except (ReproError, OSError) as exc:
                 # A lost connection must not kill the fetcher: tasks
@@ -539,7 +543,7 @@ class ThreadedWorkerPool:
         started_at: float,
         sp: Any,
     ) -> None:
-        """Execute one fetched task and report its result.
+        """Execute one fetched task and hand its result to the reporter.
 
         ``sp`` is the open ``pool.task`` span, or None when tracing is
         disabled.
@@ -588,81 +592,13 @@ class ThreadedWorkerPool:
                 time=ran_at,
                 extra=extra,
             )
-        if self._reporter is not None:
-            # Batched mode: hand the result to the shared reporter and
-            # release this worker immediately.  Finalization (owned
-            # decrement, stats, task-stop trace) happens on the flusher
-            # thread once the result actually reaches the DB, so the
-            # fetch policy never double-counts capacity for a task whose
-            # report is still in flight.
-            self._reporter.submit(eq_task_id, result, failed, ran_at, profile_dict)
-            return
-        lost = False
-        try:
-            try:
-                if sp is not None:
-                    with self.tracer.span(
-                        "pool.report", component="pool", eq_task_id=eq_task_id
-                    ):
-                        self._eqsql.report_task(
-                            eq_task_id, config.work_type, result,
-                            profile=profile_dict,
-                        )
-                else:
-                    self._eqsql.report_task(
-                        eq_task_id, config.work_type, result, profile=profile_dict
-                    )
-                self._m_report.observe(clock.now() - ran_at)
-            except (ReproError, OSError) as exc:
-                # The connection died beyond the client's retries and the
-                # result could not be recorded.  The worker must survive:
-                # the task's lease lapses without renewal (it leaves the
-                # owned set below), the reaper requeues it, and another
-                # pool re-executes — the result is recovered, not lost.
-                lost = True
-                self._m_report_errors.inc()
-                log_event(
-                    _log, "pool.report_error", level=30,
-                    pool=self.name, eq_task_id=eq_task_id, error=str(exc),
-                )
-        finally:
-            self._finalize(eq_task_id, failed=failed, lost=lost)
-
-    def _finalize(self, eq_task_id: int, *, failed: bool, lost: bool) -> None:
-        """Book-keeping after a task's report settles (or is lost).
-
-        Shared by the synchronous report path and the batch reporter;
-        the owned count must only drop here, after the report, because
-        it drives the fetch policy.
-        """
-        if self._trace is not None:
-            self._trace.task_stop(
-                self._eqsql.clock.now(), eq_task_id, source=self.name
-            )
-        journal = self._jrnl()
-        if journal.enabled:
-            journal.emit(
-                EV_REPORT,
-                eq_task_id,
-                role=ROLE_POOL,
-                work_type=self._config.work_type,
-                source=self.name,
-                time=self._eqsql.clock.now(),
-                extra={"lost": True} if lost else None,
-            )
-        with self._slot_freed:
-            self._owned -= 1
-            self._owned_ids.discard(eq_task_id)
-            self._slot_freed.notify()
-        with self._stats_lock:
-            if lost:
-                self.reports_lost += 1
-            elif failed:
-                self.tasks_failed += 1
-            else:
-                self.tasks_completed += 1
-        if not lost:
-            (self._m_failed if failed else self._m_completed).inc()
+        # Release this worker at once; the reporter drops the owned
+        # count only after the result settles, so the fetch policy never
+        # double-counts capacity for a task whose report is in flight.
+        self._reporter.submit(
+            eq_task_id, result, failed, ran_at, profile_dict,
+            sp.context if sp is not None else None,
+        )
 
     # -- context manager ----------------------------------------------------------------
 
@@ -673,15 +609,19 @@ class ThreadedWorkerPool:
         self.stop()
 
 
-class _BatchReporter:
-    """Shared result reporter: workers enqueue, one flusher reports.
+#: One queued result: (eq_task_id, result, failed, ran_at, profile, parent).
+_Report = tuple[int, str, bool, float, dict | None, SpanContext | None]
 
-    Batches are flushed at ``report_batch_size`` results or after
-    ``report_linger`` seconds, whichever comes first — the linger bounds
-    how long a lone result waits, the size bounds memory and RPC-frame
-    growth.  The linger uses wall-clock time (not the pool's injected
-    clock): it paces a real background thread, and a virtual clock would
-    make ``queue.Queue`` timeouts meaningless.
+
+class _BatchReporter:
+    """The pool's one result path: workers enqueue, one flusher reports.
+
+    The flusher blocks for the first result, takes everything already
+    queued, and writes it all in one ``report_batch``.  Nothing lingers:
+    a lone result goes out at once, and results that finish while a
+    flush is in flight form the next batch.  Nothing caps a batch
+    either: a task leaves the owned count only once its flush settles,
+    so the queue never holds more than ``batch_size`` results.
 
     If the batch RPC fails, the flusher falls back to per-item reports
     (``report`` is first-write-wins idempotent, so items the broken
@@ -691,9 +631,7 @@ class _BatchReporter:
 
     def __init__(self, pool: ThreadedWorkerPool) -> None:
         self._pool = pool
-        self._batch_size = pool.config.report_batch_size
-        self._linger = pool.config.report_linger
-        self._q: "queue.Queue[tuple[int, str, bool, float, dict | None] | None]" = queue.Queue()
+        self._q: "queue.SimpleQueue[_Report | None]" = queue.SimpleQueue()
         self._discard = False
         self._started = False
         self._thread = threading.Thread(
@@ -710,10 +648,14 @@ class _BatchReporter:
         result: str,
         failed: bool,
         ran_at: float,
-        profile: dict | None = None,
+        profile: dict | None,
+        parent: SpanContext | None,
     ) -> None:
-        """Enqueue one completed task's result for the next flush."""
-        self._q.put((eq_task_id, result, failed, ran_at, profile))
+        """Enqueue one completed task's result for the next flush.
+
+        ``parent`` is the task's ``pool.task`` span context (tracing on).
+        """
+        self._q.put((eq_task_id, result, failed, ran_at, profile, parent))
 
     def stop(self, discard: bool = False, timeout: float = 30.0) -> None:
         """Stop the flusher; drains the queue first unless ``discard``."""
@@ -723,33 +665,27 @@ class _BatchReporter:
             self._thread.join(timeout)
 
     def _run(self) -> None:
-        while (first := self._q.get()) is not None and not self._discard:
+        q = self._q
+        while (first := q.get()) is not None and not self._discard:
             batch = [first]
-            # Linger for more results; the stop sentinel ends the linger
-            # and the flusher exits once the batch in hand is reported.
-            deadline = time.monotonic() + self._linger
-            while len(batch) < self._batch_size:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    item = self._q.get(timeout=remaining)
-                except queue.Empty:
-                    break
+            stopping = False
+            while not q.empty():
+                item = q.get_nowait()
                 if item is None:
-                    self._flush(batch)
-                    return
+                    stopping = True
+                    break
                 batch.append(item)
             self._flush(batch)
+            if stopping:
+                return
 
-    def _flush(self, batch: list[tuple[int, str, bool, float, dict | None]]) -> None:
+    def _flush(self, batch: list[_Report]) -> None:
         pool = self._pool
+        eqsql = pool._eqsql
         work_type = pool.config.work_type
         tracer = pool.tracer
-        reports = [(tid, work_type, result) for tid, result, _f, _r, _p in batch]
-        profiles = {
-            tid: profile for tid, _res, _f, _r, profile in batch if profile
-        } or None
+        reports = [(item[0], work_type, item[1]) for item in batch]
+        profiles = {item[0]: item[4] for item in batch if item[4]} or None
         lost_ids: set[int] = set()
         try:
             if tracer.enabled:
@@ -759,23 +695,77 @@ class _BatchReporter:
                     pool=pool.name,
                     n=len(batch),
                 ):
-                    pool._eqsql.report_tasks(reports, profiles=profiles)
+                    eqsql.report_tasks(reports, profiles=profiles)
             else:
-                pool._eqsql.report_tasks(reports, profiles=profiles)
+                eqsql.report_tasks(reports, profiles=profiles)
         except (ReproError, OSError):
-            for tid, result, _failed, _ran, profile in batch:
+            for tid, result, _failed, _ran, profile, _parent in batch:
                 try:
-                    pool._eqsql.report_task(tid, work_type, result, profile=profile)
+                    eqsql.report_task(tid, work_type, result, profile=profile)
                 except (ReproError, OSError) as exc:
+                    # The result could not be recorded.  Its lease lapses
+                    # once it leaves the owned set, the reaper requeues
+                    # it, and another pool re-executes it.
                     lost_ids.add(tid)
                     pool._m_report_errors.inc()
                     log_event(
                         _log, "pool.report_error", level=30,
                         pool=pool.name, eq_task_id=tid, error=str(exc),
                     )
+        self._settle(batch, lost_ids)
+
+    def _settle(self, batch: list[_Report], lost_ids: set[int]) -> None:
+        """Book-keeping once a flush settles: per-task events, then one
+        owned-count drop and one counter update for the whole batch.
+
+        The owned count must only drop here, after the report, because
+        it drives the fetch policy.
+        """
+        pool = self._pool
         now = pool._eqsql.clock.now()
-        for tid, _result, failed, ran_at, _profile in batch:
+        trace = pool._trace
+        journal = pool._jrnl()
+        tracer = pool.tracer
+        n_failed = n_lost = 0
+        for tid, _result, failed, ran_at, _profile, parent in batch:
             lost = tid in lost_ids
-            if not lost:
+            if lost:
+                n_lost += 1
+            else:
+                n_failed += failed
                 pool._m_report.observe(now - ran_at)
-            pool._finalize(tid, failed=failed, lost=lost)
+            if trace is not None:
+                trace.task_stop(now, tid, source=pool.name)
+            if journal.enabled:
+                journal.emit(
+                    EV_REPORT,
+                    tid,
+                    role=ROLE_POOL,
+                    work_type=pool.config.work_type,
+                    source=pool.name,
+                    time=now,
+                    extra={"lost": True} if lost else None,
+                )
+            if tracer.enabled:
+                tracer.add_span(
+                    "pool.report",
+                    "pool",
+                    ran_at,
+                    now,
+                    parent=parent,
+                    attrs={"eq_task_id": tid},
+                    status=STATUS_ERROR if lost else STATUS_OK,
+                )
+        with pool._slot_freed:
+            pool._owned -= len(batch)
+            pool._owned_ids.difference_update(item[0] for item in batch)
+            pool._slot_freed.notify()
+        n_completed = len(batch) - n_failed - n_lost
+        with pool._stats_lock:
+            pool.tasks_completed += n_completed
+            pool.tasks_failed += n_failed
+            pool.reports_lost += n_lost
+        if n_completed:
+            pool._m_completed.inc(n_completed)
+        if n_failed:
+            pool._m_failed.inc(n_failed)

@@ -158,6 +158,12 @@ class ChaosProxy:
     def stop(self) -> None:
         self._stopped.set()
         try:
+            # close() alone leaves a thread blocked in accept() asleep on
+            # Linux; shutdown() wakes it.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._listener.close()
         except OSError:
             pass

@@ -195,6 +195,92 @@ class TestSeverMidWait:
             backing.close()
 
 
+class SeveringStore(MemoryTaskStore):
+    """Severs every proxied connection inside the first few
+    ``report_batch`` calls, following ``plan``: ``"before"`` severs and
+    fails the call before it applies (the request is lost), ``"after"``
+    severs once it applied (the response is lost)."""
+
+    def __init__(self, plan: list[str]) -> None:
+        super().__init__()
+        self.proxy: ChaosProxy | None = None
+        self._plan = list(plan)
+        self._plan_lock = threading.Lock()
+        self.severed: list[str] = []
+
+    def _sever(self, when: str) -> None:
+        assert self.proxy is not None
+        self.proxy.sever_all()
+        self.severed.append(when)
+
+    def report_batch(self, reports, *, now=0.0, profiles=None):
+        with self._plan_lock:
+            when = self._plan.pop(0) if self._plan else None
+        if when == "before":
+            self._sever(when)
+            raise ConnectionError("severed before report_batch applied")
+        super().report_batch(reports, now=now, profiles=profiles)
+        if when == "after":
+            self._sever(when)
+
+
+class TestSeverMidReportBatch:
+    def test_every_task_completes_exactly_once(self):
+        """Sever the pool's connection mid-``report_batch``, both before
+        and after the batch applies: the client replays the idempotent
+        batch, so every result lands once and no task runs twice."""
+        n_tasks = 40
+        plan = ["before", "after", "after", "before", "after"]
+        backing = SeveringStore(plan)
+        service = TaskService(backing, lease_reaper_interval=0.1).start()
+        proxy = ChaosProxy(*service.address, rng=random.Random(13)).start()
+        backing.proxy = proxy
+        pool_store = RemoteTaskStore(*proxy.address, retry=RETRY)
+        executions: dict[int, int] = {}
+        lock = threading.Lock()
+
+        def counted_square(d):
+            with lock:
+                executions[d["x"]] = executions.get(d["x"], 0) + 1
+            time.sleep(0.005)
+            return {"y": d["x"] ** 2}
+
+        me = EQSQL(backing)  # the ME talks to the store directly
+        pool = ThreadedWorkerPool(
+            EQSQL(pool_store),
+            PythonTaskHandler(counted_square),
+            PoolConfig(work_type=0, n_workers=4, name="sever-report",
+                       lease_duration=1.0),
+        )
+        try:
+            futures = me.submit_tasks(
+                "sever-report", 0, [json.dumps({"x": x}) for x in range(n_tasks)]
+            )
+            pool.start()
+            done = list(as_completed(futures, timeout=60, delay=0.01))
+            pool.stop(timeout=10)
+        finally:
+            pool.stop(drain=False, timeout=5)
+            pool_store.close()
+            proxy.stop()
+            service.stop()
+
+        assert backing.severed == plan, "the severs never happened"
+        assert len(done) == n_tasks
+        assert len({f.eq_task_id for f in done}) == n_tasks, "results duplicated"
+        for f in done:
+            _, payload = f.result(timeout=0)
+            x = json.loads(backing.get_task(f.eq_task_id).json_out)["x"]
+            assert json.loads(payload) == {"y": x**2}
+        assert executions == {x: 1 for x in range(n_tasks)}
+        assert pool.reports_lost == 0
+        assert pool.tasks_completed == n_tasks
+        assert pool.owned() == 0
+        assert backing.queue_in_length() == 0
+        assert backing.queue_out_length() == 0
+        backing.close()
+
+
 class TestFlakyStoreChaos:
     def test_workflow_drains_with_faulty_pool_operations(self):
         """Every pool-side store call can fault before or after applying;

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import EQSQL, EQ_STOP, ResultStatus, as_completed
 from repro.core.constants import EQ_ABORT
-from repro.db import MemoryTaskStore
+from repro.db import MemoryTaskStore, SqliteTaskStore
 from repro.pools import PoolConfig, PythonTaskHandler, ThreadedWorkerPool
 from repro.telemetry import EventKind, TraceCollector
 
@@ -187,13 +187,14 @@ class TestEventDrivenRefill:
 
     SLOW_TICK = dict(work_type=0, n_workers=1, batch_size=1, poll_delay=5.0)
 
-    @pytest.mark.parametrize("report_batch_size", [1, 4])
-    def test_saturated_pool_refills_without_tick(self, eq, report_batch_size):
-        # With report_batch_size > 1 the slot is freed on the flusher
-        # thread rather than the worker.  Tick-based refill would need
-        # at least 19 ticks (95 s) for 20 tasks.
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_saturated_pool_refills_without_tick(self, eq, batch_size):
+        # Slots are freed on the reporter thread, one at a time with
+        # batch_size=1 and several per settled flush above it.
+        # Tick-based refill would need at least 4 ticks (20 s) for 20
+        # tasks even at batch_size=4.
         futures = eq.submit_tasks("exp", 0, ["{}"] * 20)
-        config = PoolConfig(**self.SLOW_TICK, report_batch_size=report_batch_size)
+        config = PoolConfig(**{**self.SLOW_TICK, "batch_size": batch_size})
         pool = ThreadedWorkerPool(eq, PythonTaskHandler(lambda d: d), config)
         t0 = time.monotonic()
         pool.start()
@@ -207,15 +208,17 @@ class TestEventDrivenRefill:
         assert pool.tasks_completed == 20
         assert not pool.is_alive()
 
-    @pytest.mark.parametrize("report_batch_size", [1, 4])
-    def test_no_lost_wakeup_under_thread_churn(self, eq, report_batch_size):
+    @pytest.mark.parametrize("threshold", [1, 4])
+    def test_no_lost_wakeup_under_thread_churn(self, eq, threshold):
         # The refill has no timer fallback, so a lost notify would stall
-        # the pool for good.  Many workers, a threshold policy, and a
-        # tiny switch interval give the race every chance to show.
+        # the pool for good.  Many workers, a threshold policy (one
+        # settle may free fewer slots than the threshold, or several at
+        # once), and a tiny switch interval give the race every chance
+        # to show.
         futures = eq.submit_tasks("exp", 0, ["{}"] * 400)
         config = PoolConfig(
-            work_type=0, n_workers=8, batch_size=12, threshold=3,
-            poll_delay=5.0, report_batch_size=report_batch_size,
+            work_type=0, n_workers=8, batch_size=12, threshold=threshold,
+            poll_delay=5.0,
         )
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -256,6 +259,26 @@ class TestEventDrivenRefill:
         assert time.monotonic() - released_at < 1.0
         assert not pool.is_alive()
         assert pool.tasks_completed == 1  # drained, nothing more fetched
+
+    @pytest.mark.timing
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_stop_on_idle_pool_returns_promptly(self, backend):
+        # The fetcher is parked in a fetch_wait (0.5 s) long-poll; stop()
+        # wakes it, and the woken wait must not be re-issued.
+        store = MemoryTaskStore() if backend == "memory" else SqliteTaskStore(":memory:")
+        eq = EQSQL(store)
+        pool = ThreadedWorkerPool(
+            eq, square_handler(), PoolConfig(work_type=0, n_workers=2)
+        ).start()
+        try:
+            time.sleep(0.05)  # let the fetcher park in its wait
+            t0 = time.monotonic()
+            pool.stop(timeout=10)
+            elapsed = time.monotonic() - t0
+        finally:
+            eq.close()
+        assert elapsed < 0.1
+        assert not pool.is_alive()
 
     def test_abort_on_idle_pool_returns_promptly(self, eq):
         config = PoolConfig(work_type=0, n_workers=4, poll_delay=5.0)
